@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/macros.h"
 
@@ -82,27 +81,30 @@ void ThreadPool::ParallelForRanges(
   }
   const int64_t chunk_size = (count + chunks - 1) / chunks;
 
-  // release on the final decrement / acquire on the waiter's observation:
-  // every chunk's writes happen-before ParallelForRanges returns.
-  std::atomic<int64_t> remaining{chunks};
+  // The completion latch lives in this frame. Every decrement and the
+  // final notify happen under done_mutex, and the caller re-checks
+  // `remaining` under the same lock, so it cannot observe 0 (and return,
+  // destroying the latch) until the last worker has released the lock —
+  // after which that worker touches nothing here. The lock also orders
+  // every chunk's writes before ParallelForRanges returns.
+  int64_t remaining = chunks;
   Mutex done_mutex;
   CondVar done_cv;
 
   for (int64_t c = 0; c < chunks; ++c) {
     const int64_t begin = c * chunk_size;
     const int64_t end = std::min(count, begin + chunk_size);
-    // lifetime-ok: ParallelForRanges blocks on done_cv until every chunk
-    // has run, so the captured frame outlives all submitted tasks
+    // lifetime-ok: the caller waits under done_mutex until `remaining` is
+    // 0, and each task's last access to this frame is the unlock after its
+    // decrement (and notify), so the frame outlives every use
     Submit([&, begin, end] {
       fn(begin, end);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      MutexLock lock(done_mutex);
+      if (--remaining == 0) done_cv.NotifyOne();
     });
   }
   MutexLock lock(done_mutex);
-  while (remaining.load(std::memory_order_acquire) != 0) {
+  while (remaining != 0) {
     done_cv.Wait(done_mutex);
   }
 }

@@ -112,10 +112,11 @@ void Executor::ReplaySteps(const Tensor& in, int64_t n, int32_t last_step,
     const Step& step = steps[static_cast<size_t>(s)];
     switch (step.kind) {
       case StepKind::kGemmTransB: {
-        const Tensor& weight = plan_->constant(step.constant);
-        GemmTransBSerial(ReadAt(in, step.in, n).data(), weight.data(),
-                         SliceAt(step.out, n).data(), n, step.k,
-                         step.cols);
+        // The constant is W^T [k, cols], transposed once at capture, so
+        // the product runs the contiguous SAXPY kernel.
+        const Tensor& weight_t = plan_->constant(step.constant);
+        GemmSerial(ReadAt(in, step.in, n).data(), weight_t.data(),
+                   SliceAt(step.out, n).data(), n, step.k, step.cols);
         GuardStepNumerics("gemm", SliceAt(step.out, n).data(),
                           n * step.cols);
         break;

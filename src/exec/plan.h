@@ -54,7 +54,10 @@ struct MicroStep {
 };
 
 enum class StepKind : uint8_t {
-  // out[n, cols] = in[n, k] * W[cols, k]^T via the serial GEMM kernel.
+  // out[n, cols] = in[n, k] * W[cols, k]^T. The constant holds W^T
+  // [k, cols], transposed once at capture, and the executor runs the
+  // serial SAXPY kernel (GemmSerial) over it; the sum over k runs in the
+  // same order as the eager GemmTransB, so results are bit-identical.
   kGemmTransB,
   // Chain of micro passes mapping in -> out elementwise; in == out marks
   // an in-place fused step on one arena slice.
@@ -75,7 +78,7 @@ struct Step {
   int32_t in = -1;        // primary input value
   int32_t in2 = -1;       // secondary input value (kNcmCombine row norms)
   int32_t out = -1;       // output value (-1 for kArgMinLabel)
-  int32_t constant = -1;  // constant-table index (GEMM weight, NCM norms)
+  int32_t constant = -1;  // constant-table index (GEMM W^T, NCM norms)
   int64_t k = 0;          // GEMM reduction depth
   int64_t cols = 0;       // output columns
   std::vector<MicroStep> micro;  // kElementwise chain

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "tensor/tensor_ops.h"
 
 namespace pilote {
 namespace exec {
@@ -15,10 +16,12 @@ ValueRef PlanBuilder::NewValue(int64_t cols) {
   return ValueRef{id, cols};
 }
 
-int32_t PlanBuilder::AddConstant(const Tensor& constant) {
+int32_t PlanBuilder::AddConstant(Tensor constant) {
   PILOTE_CHECK_GT(constant.numel(), 0);
   const int32_t id = static_cast<int32_t>(constants_.size());
-  constants_.push_back(constant);  // deep copy: plans own their constants
+  // Taken by value: callers' tensors are deep-copied into the parameter,
+  // capture-time temporaries (the transposed GEMM weight) are moved.
+  constants_.push_back(std::move(constant));
   return id;
 }
 
@@ -101,7 +104,12 @@ ValueRef PlanBuilder::Gemm(ValueRef x, const Tensor& weight) {
   step.kind = StepKind::kGemmTransB;
   step.in = x.id;
   step.out = out.id;
-  step.constant = AddConstant(weight);
+  // Stored as W^T [k, cols]: the executor then runs the SAXPY kernel
+  // (GemmSerial), which sums each output over p in the same order as the
+  // eager dot-product kernel (GemmTransB) and vectorizes over the
+  // contiguous output row. Plans already own a copy of every weight, so
+  // the transposed copy costs no extra memory.
+  step.constant = AddConstant(Transpose(weight));
   step.k = x.cols;
   step.cols = out.cols;
   steps_.push_back(std::move(step));

@@ -87,7 +87,7 @@ class PlanBuilder {
 
  private:
   ValueRef NewValue(int64_t cols);
-  int32_t AddConstant(const Tensor& constant);
+  int32_t AddConstant(Tensor constant);
   // Appends `micro` over x: fused onto the producing step, in place on a
   // freshly-defined arena value, or as a copy pass into a new value.
   ValueRef RecordElementwise(ValueRef x, MicroStep micro);

@@ -28,7 +28,8 @@ constexpr int64_t kParallelFlopThreshold = 1 << 22;
 constexpr int64_t kRowTile = 4;
 
 // Computes rows [row_begin, row_end) of C = A * B with an i-k-j loop order:
-// the inner j loop is a contiguous SAXPY the compiler vectorizes.
+// the inner j loop is a contiguous SAXPY the compiler vectorizes. The
+// compiled plan's GEMM steps run this over a transposed weight.
 void GemmRows(const float* a, const float* b, float* c, int64_t row_begin,
               int64_t row_end, int64_t k, int64_t n) {
   int64_t i = row_begin;
@@ -75,7 +76,9 @@ void GemmRows(const float* a, const float* b, float* c, int64_t row_begin,
 // Rows of C = A * B^T: each output element is a contiguous dot product.
 // Row-tiled like GemmRows: four independent accumulators share one
 // streamed b_row, so the weight matrix is read once per tile (this is the
-// Linear-layer forward kernel — the serving hot path).
+// eager and training Linear forward kernel). Each output sums its
+// products over p in the same order as GemmRows over B^T, which is what
+// keeps the two bit-identical when neither is FMA-contracted.
 void GemmTransBRows(const float* a, const float* b, float* c,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
   int64_t i = row_begin;

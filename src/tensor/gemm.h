@@ -27,6 +27,11 @@ void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
 // allocation-free, calls these instead. Results are bit-identical to the
 // parallel entry points (identical per-element accumulation order), and
 // both variants tick the same tensor/gemm_calls metrics.
+//
+// GemmSerial(a, B^T) is also bit-identical to GemmTransBSerial(a, B): the
+// compiled plan relies on this to run the vectorizable SAXPY kernel over a
+// weight transposed at capture. It holds because gemm.cc is built without
+// FMA contraction (see src/tensor/CMakeLists.txt); gemm_test pins it.
 PILOTE_HOT_PATH void GemmSerial(const float* a, const float* b, float* c,
                                 int64_t m, int64_t k, int64_t n);
 PILOTE_HOT_PATH void GemmTransBSerial(const float* a, const float* b,

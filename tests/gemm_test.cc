@@ -1,8 +1,12 @@
+#include <cstring>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -62,6 +66,51 @@ TEST(GemmTest, TransposeInvolution) {
   Rng rng(4);
   Tensor a = Tensor::RandNormal(Shape::Matrix(3, 9), rng);
   EXPECT_TRUE(AllClose(Transpose(Transpose(a)), a, 0.0f, 0.0f));
+}
+
+TEST(GemmTest, TransposeCrossesTileEdges) {
+  // 70 x 45 spans several transpose tiles with ragged last tiles on both
+  // axes.
+  Rng rng(5);
+  Tensor a = Tensor::RandNormal(Shape::Matrix(70, 45), rng);
+  Tensor t = Transpose(a);
+  ASSERT_EQ(t.rows(), 45);
+  ASSERT_EQ(t.cols(), 70);
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    for (int64_t c = 0; c < a.cols(); ++c) ASSERT_EQ(t(c, r), a(r, c));
+  }
+}
+
+// The compiled plan computes x * W^T as GemmSerial(x, W^T) over a weight
+// transposed at capture, while the eager forward runs
+// GemmTransBSerial(x, W). Both sum each output over p in the same order,
+// so they agree bit for bit only if neither kernel fuses multiply-adds:
+// this pins the -ffp-contract=off build setting of gemm.cc. Paper backbone
+// shapes (80 -> 1024 -> 512 -> 128 -> 64 -> 128), every batch size up to
+// 17 (whole 4-row tiles plus every tail length), and inputs with the
+// exact zeros a preceding ReLU leaves.
+TEST(GemmTest, SaxpyOverTransposedWeightMatchesTransBBitForBit) {
+  const std::vector<std::pair<int64_t, int64_t>> layers = {
+      {80, 1024}, {1024, 512}, {512, 128}, {128, 64}, {64, 128}};
+  Rng rng(6);
+  for (const auto& [k, n] : layers) {
+    Tensor w = Tensor::RandNormal(Shape::Matrix(n, k), rng, 0.0f, 0.05f);
+    Tensor wt = Transpose(w);
+    for (int64_t m = 1; m <= 17; ++m) {
+      Tensor x = Tensor::RandNormal(Shape::Matrix(m, k), rng);
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        if (x[i] < 0.0f) x[i] = 0.0f;
+      }
+      Tensor via_trans_b(Shape::Matrix(m, n));
+      Tensor via_saxpy(Shape::Matrix(m, n));
+      GemmTransBSerial(x.data(), w.data(), via_trans_b.data(), m, k, n);
+      GemmSerial(x.data(), wt.data(), via_saxpy.data(), m, k, n);
+      ASSERT_EQ(std::memcmp(via_trans_b.data(), via_saxpy.data(),
+                            static_cast<size_t>(m * n) * sizeof(float)),
+                0)
+          << "k=" << k << " n=" << n << " m=" << m;
+    }
+  }
 }
 
 // Parameterized sweep over shapes, including sizes large enough to cross

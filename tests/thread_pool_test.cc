@@ -89,6 +89,34 @@ TEST(ThreadPoolStressTest, ShutdownRacesWithFinalCompletion) {
   }
 }
 
+// Overwrites the stack bytes a just-returned ParallelForRanges frame used.
+__attribute__((noinline)) void ClobberStack() {
+  volatile unsigned char bytes[1024];
+  for (size_t i = 0; i < sizeof(bytes); ++i) bytes[i] = 0xA5;
+}
+
+TEST(ThreadPoolStressTest, BackToBackShortRangeCallsOutliveTheirLatch) {
+  // ParallelForRanges keeps its completion latch (counter, mutex, condvar)
+  // in the caller's frame. Short calls back to back, each followed by a
+  // call that reuses those stack bytes, race the last worker's notify
+  // against the caller's return: a worker that still touches the latch
+  // after the caller saw completion locks garbage (a glibc mutex
+  // assertion), and the TSan build reports the race on the latch.
+  // Oversubscribing the pool makes it likelier that a worker is preempted
+  // between finishing its chunk and signalling completion.
+  constexpr int kThreads = 8;
+  ThreadPool pool(kThreads);
+  for (int round = 0; round < 10000; ++round) {
+    std::atomic<int64_t> covered{0};
+    pool.ParallelForRanges(kThreads, [&covered](int64_t begin, int64_t end) {
+      covered.fetch_add(end - begin, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(covered.load(std::memory_order_relaxed), kThreads)
+        << "round " << round;
+    ClobberStack();
+  }
+}
+
 TEST(ThreadPoolTest, GlobalPoolIsStable) {
   ThreadPool* first = &ThreadPool::Global();
   ThreadPool* second = &ThreadPool::Global();
