@@ -106,9 +106,10 @@ ValueRef PlanBuilder::Gemm(ValueRef x, const Tensor& weight) {
   step.out = out.id;
   // Stored as W^T [k, cols]: the executor then runs the SAXPY kernel
   // (GemmSerial), which sums each output over p in the same order as the
-  // eager dot-product kernel (GemmTransB) and vectorizes over the
-  // contiguous output row. Plans already own a copy of every weight, so
-  // the transposed copy costs no extra memory.
+  // eager GemmTransB and vectorizes over the contiguous output row. The
+  // eager call transposes into scratch on every call; the plan does it
+  // once here. Plans already own a copy of every weight, so the
+  // transposed copy costs no extra memory.
   step.constant = AddConstant(Transpose(weight));
   step.k = x.cols;
   step.cols = out.cols;

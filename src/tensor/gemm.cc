@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -28,8 +29,9 @@ constexpr int64_t kParallelFlopThreshold = 1 << 22;
 constexpr int64_t kRowTile = 4;
 
 // Computes rows [row_begin, row_end) of C = A * B with an i-k-j loop order:
-// the inner j loop is a contiguous SAXPY the compiler vectorizes. The
-// compiled plan's GEMM steps run this over a transposed weight.
+// the inner j loop is a contiguous SAXPY the compiler vectorizes.
+// GemmTransB and the compiled plan's GEMM steps run this over a transposed
+// weight.
 void GemmRows(const float* a, const float* b, float* c, int64_t row_begin,
               int64_t row_end, int64_t k, int64_t n) {
   int64_t i = row_begin;
@@ -75,10 +77,11 @@ void GemmRows(const float* a, const float* b, float* c, int64_t row_begin,
 
 // Rows of C = A * B^T: each output element is a contiguous dot product.
 // Row-tiled like GemmRows: four independent accumulators share one
-// streamed b_row, so the weight matrix is read once per tile (this is the
-// eager and training Linear forward kernel). Each output sums its
-// products over p in the same order as GemmRows over B^T, which is what
-// keeps the two bit-identical when neither is FMA-contracted.
+// streamed b_row, so the weight matrix is read once per tile. The sum over
+// p does not vectorize without reassociation, so this runs only behind
+// GemmTransBSerial, the reference the SAXPY paths are pinned against. Each
+// output sums its products over p in the same order as GemmRows over B^T,
+// which is what keeps the two bit-identical when neither is FMA-contracted.
 void GemmTransBRows(const float* a, const float* b, float* c,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
   int64_t i = row_begin;
@@ -122,6 +125,28 @@ void GemmTransBRows(const float* a, const float* b, float* c,
   }
 }
 
+// Rows [row_begin, row_end) of C = A^T * B with A stored [k, m]: outer
+// products accumulated with p outer, so both input walks are contiguous
+// and each output sums over p in order. A task writes only its own rows.
+void GemmTransARows(const float* a, const float* b, float* c,
+                    int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
+                    int64_t n) {
+  std::memset(c + row_begin * n, 0,
+              static_cast<size_t>((row_end - row_begin) * n) * sizeof(float));
+  for (int64_t p = 0; p < k; ++p) {
+    const float* a_row = a + p * m;
+    const float* b_row = b + p * n;
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      const float a_pi = a_row[i];
+      if (a_pi == 0.0f) continue;
+      float* c_row = c + i * n;
+      for (int64_t j = 0; j < n; ++j) {
+        c_row[j] += a_pi * b_row[j];
+      }
+    }
+  }
+}
+
 void Dispatch(int64_t m, int64_t k, int64_t n,
               const std::function<void(int64_t, int64_t)>& rows_fn) {
   const int64_t flops = 2 * m * k * n;
@@ -146,8 +171,15 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n) {
   CountGemm(m, k, n);
+  // One transpose per call buys the vectorized SAXPY kernel for all m rows;
+  // the sums over p keep their order, so the result matches
+  // GemmTransBSerial bit for bit.
+  // hotpath-ok: per-call B^T scratch, the documented budget of this kernel
+  std::unique_ptr<float[]> scratch(new float[static_cast<size_t>(k * n)]);
+  const float* bt = scratch.get();
+  TransposeInto(b, scratch.get(), n, k);
   Dispatch(m, k, n, [=](int64_t begin, int64_t end) {
-    GemmTransBRows(a, b, c, begin, end, k, n);
+    GemmRows(a, bt, c, begin, end, k, n);
   });
 }
 
@@ -166,19 +198,26 @@ void GemmTransBSerial(const float* a, const float* b, float* c, int64_t m,
 void GemmTransA(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n) {
   CountGemm(m, k, n);
-  // C[m,n] = sum_p A[p,m]^T * B[p,n]. Outer-product accumulation keeps both
-  // input walks contiguous; parallelizing would race on C, so compute the
-  // full product serially (these shapes are small: gradient accumulations).
-  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
-  for (int64_t p = 0; p < k; ++p) {
-    const float* a_row = a + p * m;
-    const float* b_row = b + p * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float a_pi = a_row[i];
-      if (a_pi == 0.0f) continue;
-      float* c_row = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        c_row[j] += a_pi * b_row[j];
+  Dispatch(m, k, n, [=](int64_t begin, int64_t end) {
+    GemmTransARows(a, b, c, begin, end, m, k, n);
+  });
+}
+
+void TransposeInto(const float* src, float* dst, int64_t rows, int64_t cols) {
+  // Square tiles, each writing contiguous runs of output rows. A plain
+  // walk of a wide matrix misses the cache on every strided access; an
+  // 8-row tile keeps its source lines within one L1 set's ways even when
+  // the row stride is a multiple of 4 KiB, as in the paper backbone's
+  // weights. Plan capture and every GemmTransB call run this.
+  constexpr int64_t kTile = 8;
+  for (int64_t c0 = 0; c0 < cols; c0 += kTile) {
+    const int64_t c1 = std::min(cols, c0 + kTile);
+    for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
+      const int64_t r1 = std::min(rows, r0 + kTile);
+      for (int64_t c = c0; c < c1; ++c) {
+        for (int64_t r = r0; r < r1; ++r) {
+          dst[c * rows + r] = src[r * cols + c];
+        }
       }
     }
   }

@@ -175,26 +175,7 @@ Tensor Transpose(const Tensor& a) {
   const int64_t rows = a.rows();
   const int64_t cols = a.cols();
   Tensor out(Shape::Matrix(cols, rows));
-  // Square tiles, each writing contiguous runs of output rows. A plain
-  // walk of a wide matrix misses the cache on every strided access; an
-  // 8-row tile keeps its source lines within one L1 set's ways even when
-  // the row stride is a multiple of 4 KiB, as in the paper backbone's
-  // weights. Plan capture transposes every GEMM weight under the learner's
-  // exclusive lock, so this runs on every model update.
-  constexpr int64_t kTile = 8;
-  const float* src = a.data();
-  float* dst = out.data();
-  for (int64_t c0 = 0; c0 < cols; c0 += kTile) {
-    const int64_t c1 = std::min(cols, c0 + kTile);
-    for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
-      const int64_t r1 = std::min(rows, r0 + kTile);
-      for (int64_t c = c0; c < c1; ++c) {
-        for (int64_t r = r0; r < r1; ++r) {
-          dst[c * rows + r] = src[r * cols + c];
-        }
-      }
-    }
-  }
+  TransposeInto(a.data(), out.data(), rows, cols);
   return out;
 }
 

@@ -1,4 +1,5 @@
 #include <cstring>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -24,6 +26,45 @@ Tensor ReferenceMatMul(const Tensor& a, const Tensor& b) {
     }
   }
   return c;
+}
+
+// The paper backbone's Linear layers as (in, out): 80 -> 1024 -> 512 ->
+// 128 -> 64 -> 128.
+const std::vector<std::pair<int64_t, int64_t>>& PaperLayers() {
+  static const std::vector<std::pair<int64_t, int64_t>> layers = {
+      {80, 1024}, {1024, 512}, {512, 128}, {128, 64}, {64, 128}};
+  return layers;
+}
+
+// Standard normal values with the negatives zeroed, as a preceding ReLU
+// (forward activations) or its backward mask (gradients) leaves them.
+Tensor ReluZeroed(int64_t rows, int64_t cols, Rng& rng) {
+  Tensor t = Tensor::RandNormal(Shape::Matrix(rows, cols), rng);
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (t[i] < 0.0f) t[i] = 0.0f;
+  }
+  return t;
+}
+
+// C[m,n] = A[k,m]^T * B[k,n] as plain outer products over the whole of C,
+// p outermost and no zero skipping: the serial order every output of
+// GemmTransA must reproduce.
+void OuterProductTransA(const float* a, const float* b, float* c, int64_t m,
+                        int64_t k, int64_t n) {
+  std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        c[i * n + j] += a[p * m + i] * b[p * n + j];
+      }
+    }
+  }
+}
+
+bool SameBits(const Tensor& x, const Tensor& y) {
+  return x.numel() == y.numel() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
 }
 
 TEST(GemmTest, SmallKnownProduct) {
@@ -90,26 +131,108 @@ TEST(GemmTest, TransposeCrossesTileEdges) {
 // 17 (whole 4-row tiles plus every tail length), and inputs with the
 // exact zeros a preceding ReLU leaves.
 TEST(GemmTest, SaxpyOverTransposedWeightMatchesTransBBitForBit) {
-  const std::vector<std::pair<int64_t, int64_t>> layers = {
-      {80, 1024}, {1024, 512}, {512, 128}, {128, 64}, {64, 128}};
   Rng rng(6);
-  for (const auto& [k, n] : layers) {
+  for (const auto& [k, n] : PaperLayers()) {
     Tensor w = Tensor::RandNormal(Shape::Matrix(n, k), rng, 0.0f, 0.05f);
     Tensor wt = Transpose(w);
     for (int64_t m = 1; m <= 17; ++m) {
-      Tensor x = Tensor::RandNormal(Shape::Matrix(m, k), rng);
-      for (int64_t i = 0; i < x.numel(); ++i) {
-        if (x[i] < 0.0f) x[i] = 0.0f;
-      }
+      Tensor x = ReluZeroed(m, k, rng);
       Tensor via_trans_b(Shape::Matrix(m, n));
       Tensor via_saxpy(Shape::Matrix(m, n));
       GemmTransBSerial(x.data(), w.data(), via_trans_b.data(), m, k, n);
       GemmSerial(x.data(), wt.data(), via_saxpy.data(), m, k, n);
-      ASSERT_EQ(std::memcmp(via_trans_b.data(), via_saxpy.data(),
-                            static_cast<size_t>(m * n) * sizeof(float)),
-                0)
+      ASSERT_TRUE(SameBits(via_trans_b, via_saxpy))
           << "k=" << k << " n=" << n << " m=" << m;
     }
+  }
+}
+
+// The eager and training forward: GemmTransB transposes the weight into
+// scratch and runs the SAXPY kernel over it, split across the global pool
+// at the larger batches. Every output must equal the dot-product reference
+// bit for bit at every batch size, including the single-row and ragged
+// tails of the 4-row tiles and the pool's uneven row ranges.
+TEST(GemmTest, PooledTransBMatchesSerialReferenceBitForBit) {
+  Rng rng(7);
+  for (const auto& [k, n] : PaperLayers()) {
+    Tensor w = Tensor::RandNormal(Shape::Matrix(n, k), rng, 0.0f, 0.05f);
+    for (int64_t m : {1, 3, 5, 64, 256, 257}) {
+      Tensor x = ReluZeroed(m, k, rng);
+      Tensor pooled(Shape::Matrix(m, n));
+      Tensor reference(Shape::Matrix(m, n));
+      GemmTransB(x.data(), w.data(), pooled.data(), m, k, n);
+      GemmTransBSerial(x.data(), w.data(), reference.data(), m, k, n);
+      ASSERT_TRUE(SameBits(pooled, reference))
+          << "k=" << k << " n=" << n << " m=" << m;
+    }
+  }
+}
+
+// The weight gradient: dW[out, in] = dY[m, out]^T * X[m, in], with GemmTransA
+// split over rows of dW across the global pool.
+TEST(GemmTest, PooledTransAMatchesSerialOuterProductBitForBit) {
+  Rng rng(8);
+  for (const auto& [in, out] : PaperLayers()) {
+    for (int64_t m : {1, 3, 5, 64, 256, 257}) {
+      Tensor dy = ReluZeroed(m, out, rng);
+      Tensor x = ReluZeroed(m, in, rng);
+      Tensor pooled(Shape::Matrix(out, in));
+      Tensor reference(Shape::Matrix(out, in));
+      GemmTransA(dy.data(), x.data(), pooled.data(), out, m, in);
+      OuterProductTransA(dy.data(), x.data(), reference.data(), out, m, in);
+      ASSERT_TRUE(SameBits(pooled, reference))
+          << "in=" << in << " out=" << out << " m=" << m;
+    }
+  }
+}
+
+// Several threads share ThreadPool::Global() through the GEMM dispatch at
+// once, as training beside an eager fallback does. Shapes are above the
+// parallel-dispatch threshold, so each call splits its rows across the
+// pool while the other caller's tasks are queued too. Each caller has its
+// own operands, so a scratch buffer or output row shared between calls
+// shows up as a wrong result, not only as a race report.
+TEST(GemmTest, ConcurrentCallersShareTheGlobalPool) {
+  constexpr int64_t kM = 64;
+  constexpr int64_t kK = 512;
+  constexpr int64_t kN = 128;
+  constexpr int kCallers = 2;
+  constexpr int kRounds = 25;
+  struct Operands {
+    Tensor x, w, dy, forward_ref, grad_ref;
+  };
+  std::vector<Operands> operands;
+  Rng rng(9);
+  for (int t = 0; t < kCallers; ++t) {
+    Operands o{ReluZeroed(kM, kK, rng),
+               Tensor::RandNormal(Shape::Matrix(kN, kK), rng, 0.0f, 0.05f),
+               ReluZeroed(kM, kN, rng), Tensor(Shape::Matrix(kM, kN)),
+               Tensor(Shape::Matrix(kN, kK))};
+    GemmTransBSerial(o.x.data(), o.w.data(), o.forward_ref.data(), kM, kK,
+                     kN);
+    OuterProductTransA(o.dy.data(), o.x.data(), o.grad_ref.data(), kN, kM,
+                       kK);
+    operands.push_back(std::move(o));
+  }
+
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&operands, &mismatches, t] {
+      const Operands& o = operands[t];
+      Tensor forward(Shape::Matrix(kM, kN));
+      Tensor grad(Shape::Matrix(kN, kK));
+      for (int r = 0; r < kRounds; ++r) {
+        GemmTransB(o.x.data(), o.w.data(), forward.data(), kM, kK, kN);
+        GemmTransA(o.dy.data(), o.x.data(), grad.data(), kN, kM, kK);
+        if (!SameBits(forward, o.forward_ref)) ++mismatches[t];
+        if (!SameBits(grad, o.grad_ref)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "caller " << t;
   }
 }
 
@@ -152,7 +275,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(7, 1, 3), std::make_tuple(4, 6, 1),
                       std::make_tuple(16, 16, 16), std::make_tuple(33, 17, 29),
                       std::make_tuple(64, 128, 32),
-                      std::make_tuple(128, 80, 128)));
+                      std::make_tuple(128, 80, 128),
+                      // 2 * 96 * 256 * 160 = 7.9 MFLOP, above the
+                      // parallel-dispatch threshold (4.2 MFLOP), so the
+                      // pooled row split runs on multi-core hosts.
+                      std::make_tuple(96, 256, 160)));
 
 }  // namespace
 }  // namespace pilote

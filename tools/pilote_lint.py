@@ -12,12 +12,15 @@ Four stages, selected with --stage (default: all).
     failures are reported with file/line and a streamed message
   * no <iostream> in headers (it drags in static init and bloats every TU;
     logging.h is the sanctioned output path)
-  * headers are self-contained (each compiles as its own translation unit)
   * metric names at registration sites (PILOTE_METRIC_* macros and the
     registry Get{Counter,Gauge,Histogram}[Family] calls) follow the
     telemetry naming convention: a lowercase `subsystem/name` path, time
     unit suffixes (_ms/_us/_ns/_seconds) only on histograms, and the
     Prometheus-style `_total` suffix only on counters
+
+Header self-containedness is not a lint stage: the build enforces it
+(the `pilote_header_check` target in cmake/HeaderCheck.cmake compiles
+every header as its own translation unit).
 
 `--stage concurrency` enforces the repo side of the Clang thread-safety
 contract (src/common/thread_annotations.h) -- invariants that even
@@ -93,8 +96,7 @@ on reallocation) and compile down to pointer+size in release.
 Run directly, via the `lint` CMake target, or as the `repo_lint` /
 `repo_analyzer` / `repo_hotpath` / `repo_lifetime` ctest tests:
 
-  python3 tools/pilote_lint.py --root . [--stage STAGE] [--compiler g++]
-                               [--no-self-contained] [--json-out PATH]
+  python3 tools/pilote_lint.py --root . [--stage STAGE] [--json-out PATH]
 
 Exit status is 0 when clean, 1 when any invariant is violated.
 `--json-out` additionally writes the findings as a JSON artifact
@@ -105,9 +107,7 @@ import argparse
 import json
 import os
 import re
-import subprocess
 import sys
-import tempfile
 
 HEADER_DIRS = ("src", "tests", "bench", "examples")
 SOURCE_DIRS = ("src", "tests", "bench", "examples", "tools")
@@ -348,29 +348,6 @@ def check_metric_names(root, rel_path, errors):
             errors.append(
                 f"{where}: {kind} \"{name}\" uses the _total suffix, "
                 "which the Prometheus exposition reserves for counters")
-
-
-def check_self_contained(root, headers, compiler, errors):
-    """Each header must compile on its own: generate `#include "x.h"` TUs and
-    run the compiler in syntax-only mode."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for rel_path in headers:
-            stub = os.path.join(tmp, re.sub(r"[^A-Za-z0-9]", "_", rel_path) + ".cc")
-            with open(stub, "w", encoding="utf-8") as f:
-                f.write(f'#include "{os.path.abspath(os.path.join(root, rel_path))}"\n')
-            cmd = [
-                compiler, "-std=c++20", "-fsyntax-only",
-                "-I", os.path.join(root, "src"),
-                "-I", root,
-                stub,
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                first_error = next(
-                    (l for l in proc.stderr.splitlines() if "error" in l),
-                    proc.stderr.strip().splitlines()[0] if proc.stderr.strip() else "")
-                errors.append(
-                    f"{rel_path}:1: header is not self-contained: {first_error}")
 
 
 # ---------------------------------------------------------------------------
@@ -1380,7 +1357,7 @@ def run_lifetime_stage(root, errors):
         check_range_for_mutation(root, rel_path, stripped, raw, errors)
 
 
-def run_style_stage(root, args, headers, sources, errors):
+def run_style_stage(root, headers, sources, errors):
     for h in headers:
         check_header_guard(root, h, errors)
     for f in sources:
@@ -1388,8 +1365,6 @@ def run_style_stage(root, args, headers, sources, errors):
         if f.endswith((".h", ".hpp", ".cc", ".cpp")) and \
                 f.split(os.sep)[0] in HEADER_DIRS:
             check_metric_names(root, f, errors)
-    if not args.no_self_contained:
-        check_self_contained(root, headers, args.compiler, errors)
 
 
 def run_concurrency_stage(root, errors):
@@ -1414,10 +1389,6 @@ def main():
                         choices=("style", "concurrency", "hotpath",
                                  "lifetime", "all"),
                         default="all", help="which invariant stage to run")
-    parser.add_argument("--compiler", default="c++",
-                        help="compiler used for the self-containedness check")
-    parser.add_argument("--no-self-contained", action="store_true",
-                        help="skip the (slower) header self-containedness check")
     parser.add_argument("--json-out", default=None, metavar="PATH",
                         help="also write findings as a JSON artifact")
     args = parser.parse_args()
@@ -1428,7 +1399,7 @@ def main():
 
     errors = []
     if args.stage in ("style", "all"):
-        run_style_stage(root, args, headers, sources, errors)
+        run_style_stage(root, headers, sources, errors)
     if args.stage in ("concurrency", "all"):
         run_concurrency_stage(root, errors)
     if args.stage in ("hotpath", "all"):

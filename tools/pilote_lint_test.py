@@ -863,8 +863,7 @@ class StageWiringTest(unittest.TestCase):
                 [sys.executable,
                  os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               "pilote_lint.py"),
-                 "--root", tmp, "--stage", stage, "--no-self-contained",
-                 *extra_args],
+                 "--root", tmp, "--stage", stage, *extra_args],
                 capture_output=True, text=True)
         return proc
 
