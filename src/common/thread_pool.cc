@@ -73,13 +73,17 @@ void ThreadPool::ParallelFor(int64_t count,
 void ThreadPool::ParallelForRanges(
     int64_t count, const std::function<void(int64_t, int64_t)>& fn) {
   if (count <= 0) return;
-  const int64_t chunks =
+  const int64_t max_chunks =
       std::min<int64_t>(count, static_cast<int64_t>(num_threads_));
-  if (chunks <= 1 || workers_.empty()) {
+  if (max_chunks <= 1 || workers_.empty()) {
     fn(0, count);
     return;
   }
-  const int64_t chunk_size = (count + chunks - 1) / chunks;
+  // Rounding chunk_size up can leave fewer non-empty chunks than threads
+  // (128 rows on 20 threads is 19 chunks of 7); count only those, so every
+  // task gets a non-empty [begin, end).
+  const int64_t chunk_size = (count + max_chunks - 1) / max_chunks;
+  const int64_t chunks = (count + chunk_size - 1) / chunk_size;
 
   // The completion latch lives in this frame. Every decrement and the
   // final notify happen under done_mutex, and the caller re-checks

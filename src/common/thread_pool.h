@@ -32,7 +32,8 @@ class ThreadPool {
       PILOTE_EXCLUDES(mutex_);
 
   // Same, but hands each worker a [begin, end) range to reduce dispatch
-  // overhead for fine-grained loops.
+  // overhead for fine-grained loops. The ranges are non-empty, disjoint
+  // and cover [0, count) exactly.
   void ParallelForRanges(int64_t count,
                          const std::function<void(int64_t, int64_t)>& fn)
       PILOTE_EXCLUDES(mutex_);

@@ -76,44 +76,14 @@ void GemmRows(const float* a, const float* b, float* c, int64_t row_begin,
 }
 
 // Rows of C = A * B^T: each output element is a contiguous dot product.
-// Row-tiled like GemmRows: four independent accumulators share one
-// streamed b_row, so the weight matrix is read once per tile. The sum over
-// p does not vectorize without reassociation, so this runs only behind
-// GemmTransBSerial, the reference the SAXPY paths are pinned against. Each
-// output sums its products over p in the same order as GemmRows over B^T,
-// which is what keeps the two bit-identical when neither is FMA-contracted.
+// The sum over p does not vectorize without reassociation, so this runs
+// only behind GemmTransBSerial, the reference the SAXPY paths are pinned
+// against. Each output sums its products over p in the same order as
+// GemmRows over B^T, which is what keeps the two bit-identical when
+// neither is FMA-contracted.
 void GemmTransBRows(const float* a, const float* b, float* c,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
-  int64_t i = row_begin;
-  for (; i + kRowTile <= row_end; i += kRowTile) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    float* c0 = c + i * n;
-    float* c1 = c0 + n;
-    float* c2 = c1 + n;
-    float* c3 = c2 + n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* b_row = b + j * k;
-      float acc0 = 0.0f;
-      float acc1 = 0.0f;
-      float acc2 = 0.0f;
-      float acc3 = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        const float b_jp = b_row[p];
-        acc0 += a0[p] * b_jp;
-        acc1 += a1[p] * b_jp;
-        acc2 += a2[p] * b_jp;
-        acc3 += a3[p] * b_jp;
-      }
-      c0[j] = acc0;
-      c1[j] = acc1;
-      c2[j] = acc2;
-      c3[j] = acc3;
-    }
-  }
-  for (; i < row_end; ++i) {
+  for (int64_t i = row_begin; i < row_end; ++i) {
     const float* a_row = a + i * k;
     float* c_row = c + i * n;
     for (int64_t j = 0; j < n; ++j) {

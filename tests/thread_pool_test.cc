@@ -1,10 +1,13 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 
 namespace pilote {
@@ -114,6 +117,34 @@ TEST(ThreadPoolStressTest, BackToBackShortRangeCallsOutliveTheirLatch) {
     ASSERT_EQ(covered.load(std::memory_order_relaxed), kThreads)
         << "round " << round;
     ClobberStack();
+  }
+}
+
+TEST(ThreadPoolTest, RangesAreNonEmptyAndTileTheCount) {
+  // Rounding the chunk size up must not leave trailing tasks with empty or
+  // inverted ranges: 128 rows on 20 threads is 19 chunks of 7, not 20
+  // chunks whose last ones start past the end. Callers such as the GEMM
+  // row kernels size a memset by end - begin.
+  const std::pair<int, int64_t> cases[] = {
+      {4, 5}, {20, 128}, {12, 64}, {14, 128}, {24, 128}, {3, 257}};
+  for (const auto& [threads, count] : cases) {
+    ThreadPool pool(threads);
+    Mutex mutex;
+    std::vector<std::pair<int64_t, int64_t>> ranges;
+    pool.ParallelForRanges(count, [&](int64_t begin, int64_t end) {
+      MutexLock lock(mutex);
+      ranges.emplace_back(begin, end);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    ASSERT_FALSE(ranges.empty());
+    EXPECT_LE(static_cast<int64_t>(ranges.size()), threads);
+    int64_t next = 0;
+    for (const auto& [begin, end] : ranges) {
+      EXPECT_LT(begin, end) << threads << " threads, count " << count;
+      EXPECT_EQ(begin, next) << threads << " threads, count " << count;
+      next = end;
+    }
+    EXPECT_EQ(next, count) << threads << " threads, count " << count;
   }
 }
 
